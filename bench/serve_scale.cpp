@@ -18,9 +18,9 @@
 //                                10x comparison at 200k (the slow side is
 //                                the quadratic path, ~minutes of CPU)
 //   bench_serve_scale --smoke    CI-sized: sweep to 100k, comparison at
-//                                40k with a 1.5x catastrophic-regression
+//                                40k with a 6x catastrophic-regression
 //                                floor (runner wall-clock is noisy; the
-//                                measured ratio there is ~5x)
+//                                measured ratio there is 13.9-15.8x)
 //   --requests N                 override the full-mode sweep top size
 //                                (e.g. 10000000 for a ten-million-request
 //                                indexed sweep; the quadratic comparison
@@ -258,11 +258,12 @@ int main(int argc, char** argv) {
     scaling_sweep({full / 8, full / 4, full / 2});
     // Smoke runs on shared CI runners where wall-clock is noisy, so its
     // bar is a catastrophic-regression floor, not the perf claim: the
-    // ratio measures ~5x at this size, and both sides run back-to-back
-    // in one process, so landing under 1.5x means the index lost its
-    // complexity edge, not that the runner had a bad day. The >= 10x
-    // claim belongs to the full run at the canonical size.
-    const int rc = compare_impls(full / 5, 1.5);
+    // ratio measured 13.9-15.8x over ten runs at this size (4-core Xeon
+    // VM, GCC 12.2, Release), and both sides run back-to-back in one
+    // process, so landing under 6x — under half the slowest run — means
+    // the index lost its complexity edge, not that the runner had a bad
+    // day. The >= 10x claim belongs to the full run at the canonical size.
+    const int rc = compare_impls(full / 5, 6.0);
     if (rc != 0) return rc;
     return check_rss_ceiling(max_rss_mb);
   }

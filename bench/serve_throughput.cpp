@@ -1,8 +1,7 @@
 // Serving-subsystem throughput study: batch-size and pool-size sweeps on
 // the ResNet50 and transformer mixes, a heterogeneous-fleet routing sweep
 // (simulated cycles), plus wall-clock microbenchmarks of the serving
-// simulator itself — including the multi-threaded worker pool against the
-// single-threaded baseline.
+// simulator itself in both pricing modes.
 //
 // CI mode:
 //   bench_serve_throughput --smoke --json BENCH_serve.json
@@ -15,7 +14,6 @@
 #include <fstream>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench/bench_common.hpp"
@@ -275,25 +273,19 @@ void bench_serve_dispatch_overhead(benchmark::State& state) {
 BENCHMARK(bench_serve_dispatch_overhead)->Unit(benchmark::kMillisecond);
 
 void bench_serve_cycle_accurate(benchmark::State& state) {
-  // Wall-clock scaling of the worker pool on the cycle-accurate simulator;
-  // arg is the thread count. Simulated cycles are identical across args —
-  // only wall time changes.
+  // The serve loop on the cycle-accurate simulator: each iteration builds
+  // a fresh pool, so every distinct (device, M, K, N) simulates once.
   const std::vector<GemmWorkload> mix = {{"s", {8, 16, 16}},
                                          {"m", {16, 16, 16}}};
   PoolConfig cfg = config(4, 4);
   cfg.accelerator.array = {8, 8};
   cfg.exec = ExecMode::kCycleAccurate;
-  cfg.num_threads = static_cast<int>(state.range(0));
   for (auto _ : state) {
     const ServeReport r = serve_queue(cfg, trace_for(mix, 48, 200.0));
     benchmark::DoNotOptimize(r.makespan_cycles);
   }
 }
-BENCHMARK(bench_serve_cycle_accurate)
-    ->Arg(1)
-    ->Arg(static_cast<long>(
-        std::max(1u, std::thread::hardware_concurrency())))
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(bench_serve_cycle_accurate)->Unit(benchmark::kMillisecond);
 
 // ---- CI smoke mode ---------------------------------------------------
 

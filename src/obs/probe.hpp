@@ -1,11 +1,11 @@
 // Observability, layer 0: the probe. AcceleratorPool::serve is a
 // single-threaded discrete-event loop over a deterministic timeline; a
 // PoolProbe is a passive observer of that loop — every callback fires from
-// the serve loop itself (never from a worker thread), in event order, with
+// the serve loop itself, in event order, with
 // simulated-cycle timestamps. Because probes only *read* the timeline,
 // attaching one can never change simulated cycles, and because the loop is
-// single-threaded, probe output is bit-identical across worker-thread
-// counts — the property serve_trace_test pins down byte-for-byte.
+// single-threaded, probe output is bit-identical across `num_threads`
+// settings — the property serve_trace_test pins down byte-for-byte.
 //
 // Zero overhead when disabled: the pool keeps a plain vector of probe
 // pointers and every emission site is guarded by an empty() check, so a
@@ -15,7 +15,7 @@
 //
 // This header also hosts the serve-loop self-profiler: wall-clock (NOT
 // simulated-cycle) accounting of where the loop itself spends host time
-// (admit/pick/route/dispatch/harvest/retire), for finding the next
+// (admit/pick/route/dispatch/retire), for finding the next
 // serve-core bottleneck. Wall time is inherently nondeterministic, so the
 // profile rides in ServeReport next to wall_seconds and is published as
 // informational bench metrics only — it can never gate.
@@ -145,18 +145,16 @@ class PoolProbe {
 
 /// The serve loop's phases, in loop order. kAdmit covers arrival pops,
 /// joins, and batch closes; kPick the ready-vs-open-group argmin; kRoute
-/// the device choice; kDispatch chunk sizing, cache touch, and worker
-/// submission; kHarvest the future sync; kRetire completion processing
-/// (including record filing).
+/// the device choice; kDispatch chunk sizing, cache touch, and pricing;
+/// kRetire completion processing (including record filing).
 enum class ServePhase {
   kAdmit,
   kPick,
   kRoute,
   kDispatch,
-  kHarvest,
   kRetire,
 };
-inline constexpr std::size_t kNumServePhases = 6;
+inline constexpr std::size_t kNumServePhases = 5;
 
 inline const char* to_string(ServePhase p) {
   switch (p) {
@@ -168,8 +166,6 @@ inline const char* to_string(ServePhase p) {
       return "route";
     case ServePhase::kDispatch:
       return "dispatch";
-    case ServePhase::kHarvest:
-      return "harvest";
     case ServePhase::kRetire:
       return "retire";
   }

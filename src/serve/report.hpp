@@ -429,7 +429,7 @@ struct ServeReport {
   WorkloadRegistry workloads;
 
   int num_accelerators = 0;
-  int num_threads = 0;  ///< wall-clock workers used (no effect on cycles)
+  int num_threads = 0;  ///< PoolConfig::num_threads echoed (no effect)
   i64 makespan_cycles = 0;      ///< last completion cycle
   i64 total_busy_cycles = 0;    ///< sum of per-accelerator busy cycles
   /// Logical batches: the chunks of one batch count once.

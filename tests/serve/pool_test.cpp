@@ -1,10 +1,13 @@
 #include "serve/pool.hpp"
 
 #include <set>
+#include <tuple>
+#include <utility>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
+#include "obs/probe.hpp"
 #include "serve/request.hpp"
 #include "workloads/table3.hpp"
 
@@ -376,29 +379,85 @@ TEST(AcceleratorPoolTest, SloScenarioDeterministicAcrossThreadCounts) {
   EXPECT_DOUBLE_EQ(a.slo_attainment(), b.slo_attainment());
 }
 
+/// Records every dispatch's (device, M, K, N).
+class DispatchLog : public obs::PoolProbe {
+ public:
+  void on_dispatch(const obs::DispatchInfo& d) override {
+    keys.push_back({d.device, d.chunk.M, d.chunk.K, d.chunk.N});
+  }
+  std::vector<std::tuple<int, i64, i64, i64>> keys;
+};
+
 TEST(AcceleratorPoolTest, CycleAccurateAgreesWithAccelerator) {
-  // One request, no batching: the serve-layer compute cycles must equal a
-  // direct Accelerator::run_gemm of the same synthesized operands.
+  // Every request runs alone on an infinite-bandwidth pair, so each
+  // record's compute cycles are one simulated run. Requests 0 and 1 arrive
+  // together and land on devices 0 and 1 (the same shape on a second
+  // device); request 2 comes after both retire and lands on device 0 again
+  // (a memo hit); request 3 leaves partial tail tiles in every dimension.
+  // Each must equal a fresh standalone run_gemm on arbitrary operands.
   PoolConfig cfg = base_config();
-  cfg.num_accelerators = 1;
+  cfg.num_accelerators = 2;
   cfg.exec = ExecMode::kCycleAccurate;
   cfg.batching = {1, 0};
   cfg.dram_bytes_per_cycle = 0;  // infinite bandwidth: pure compute cycles
+  const std::vector<std::pair<GemmShape, i64>> arrivals = {
+      {{8, 8, 8}, 0},
+      {{8, 8, 8}, 0},
+      {{8, 8, 8}, 100000},
+      {{5, 12, 11}, 200000},
+  };
   RequestQueue q;
-  Request r;
-  r.id = 0;
-  r.workload = q.intern("w");
-  r.gemm = {8, 8, 8};
-  r.arrival_cycle = 0;
-  q.push(r);
-  const ServeReport rep = serve_queue(cfg, std::move(q));
-  ASSERT_EQ(rep.records.size(), 1u);
+  const WorkloadId w = q.intern("w");
+  for (std::size_t i = 0; i < arrivals.size(); ++i) {
+    Request r;
+    r.id = static_cast<i64>(i);
+    r.workload = w;
+    r.gemm = arrivals[i].first;
+    r.arrival_cycle = arrivals[i].second;
+    q.push(r);
+  }
+  AcceleratorPool pool(cfg);
+  const ServeReport rep = pool.serve(q);
+  ASSERT_EQ(rep.records.size(), arrivals.size());
+  EXPECT_EQ(rep.records[0].accelerator, 0);
+  EXPECT_EQ(rep.records[1].accelerator, 1);
+  EXPECT_EQ(rep.records[2].accelerator, 0);
 
-  Rng rng(cfg.data_seed ^ (0x9E3779B97F4A7C15ull * 1));
-  const Matrix a = random_matrix(8, 8, rng);
-  const Matrix b = random_matrix(8, 8, rng);
-  Accelerator acc(cfg.accelerator);
-  EXPECT_EQ(rep.records[0].compute_cycles(), acc.run_gemm(a, b).cycles);
+  Rng rng(2024);
+  for (std::size_t i = 0; i < arrivals.size(); ++i) {
+    const GemmShape g = arrivals[i].first;
+    Accelerator fresh(cfg.accelerator);
+    const Matrix a = random_sparse_matrix(g.M, g.K, 0.3, rng);
+    const Matrix b = random_matrix(g.K, g.N, rng);
+    EXPECT_EQ(rep.records[i].compute_cycles(), fresh.run_gemm(a, b).cycles)
+        << "request " << i;
+  }
+  // Four dispatches, three distinct (device, M, K, N): one simulation each.
+  EXPECT_EQ(pool.simulated_shapes(), 3u);
+}
+
+TEST(AcceleratorPoolTest, CycleAccurateSimulatesEachShapeOncePerPool) {
+  // A busy chunked trace repeats shapes across many dispatches; the pool
+  // simulates each distinct (device, M, K, N) once, and serving the same
+  // trace again on the same pool simulates nothing new.
+  PoolConfig cfg = base_config();
+  cfg.exec = ExecMode::kCycleAccurate;
+  cfg.chunking = ChunkPolicy::kFixedTiles;
+  cfg.chunk_tiles = 1;
+  AcceleratorPool pool(cfg);
+  DispatchLog log;
+  pool.add_probe(&log);
+  const auto trace = [] { return make_trace(64, 60.0, 11, tiny_mix()); };
+  RequestQueue first = trace();
+  const ServeReport a = pool.serve(first);
+  const std::set<std::tuple<int, i64, i64, i64>> distinct(log.keys.begin(),
+                                                          log.keys.end());
+  EXPECT_GT(log.keys.size(), distinct.size());
+  EXPECT_EQ(pool.simulated_shapes(), distinct.size());
+  RequestQueue second = trace();
+  const ServeReport b = pool.serve(second);
+  EXPECT_EQ(pool.simulated_shapes(), distinct.size());
+  expect_same_simulated_results(a, b);
 }
 
 }  // namespace
