@@ -33,7 +33,7 @@ class Im2colFeeder final : public RowStream {
   [[nodiscard]] i64 num_rows() const override { return num_rows_; }
   [[nodiscard]] i64 temporal_length() const override;
   std::optional<float> value(i64 row, i64 k) override;
-  [[nodiscard]] const Stats& stats() const override { return stats_; }
+  [[nodiscard]] Stats stats() const override;
 
   /// IFMAP elements pulled from the SRAM buffer (MUX select = 0 cycles).
   [[nodiscard]] i64 sram_loads() const { return sram_loads_; }
@@ -58,7 +58,6 @@ class Im2colFeeder final : public RowStream {
   i64 batch_;
   i64 window_len_;  ///< K = (Cin/groups) * kh * kw
 
-  Stats stats_;
   i64 sram_loads_ = 0;
   i64 neighbor_forwards_ = 0;
 };

@@ -17,6 +17,13 @@ class Stats {
     counters_[name] += delta;
   }
 
+  /// add(), except a zero delta leaves the counter absent: for publishing
+  /// a count kept in a plain integer, once per tile or stream, with the
+  /// same keys a per-event add() would have created.
+  void add_nonzero(const std::string& name, std::int64_t delta) {
+    if (delta != 0) add(name, delta);
+  }
+
   [[nodiscard]] std::int64_t get(const std::string& name) const {
     auto it = counters_.find(name);
     return it == counters_.end() ? 0 : it->second;

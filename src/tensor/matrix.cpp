@@ -29,9 +29,7 @@ bool Matrix::approx_equal(const Matrix& other, double tol) const {
 
 Matrix random_matrix(i64 rows, i64 cols, Rng& rng) {
   Matrix m(rows, cols);
-  for (i64 r = 0; r < rows; ++r) {
-    for (i64 c = 0; c < cols; ++c) m.at(r, c) = rng.small_value();
-  }
+  rng.fill_small_values(m.data(), static_cast<std::size_t>(m.size()));
   return m;
 }
 

@@ -101,6 +101,32 @@ TEST(ConventionalArrayTest, SramLoadCountsMatchOperandSizes) {
   EXPECT_EQ(r.stats.get("sram.filter.loads"), k * n);
 }
 
+TEST(ConventionalArrayTest, LoadCountersMatchOperandSizesPerTile) {
+  Rng rng(23);
+  ConventionalArraySim sim({8, 8});
+  for (const auto& [m, k, n] :
+       {std::tuple{8, 8, 8}, std::tuple{3, 7, 5}, std::tuple{8, 2, 1},
+        std::tuple{1, 5, 8}}) {
+    const Matrix a = random_matrix(m, k, rng);
+    const Matrix b = random_matrix(k, n, rng);
+    const GemmRunResult os = sim.run(Dataflow::kOS, a, b);
+    EXPECT_EQ(os.stats.get("sram.ifmap.loads"), m * k);
+    EXPECT_EQ(os.stats.get("sram.filter.loads"), k * n);
+    EXPECT_FALSE(os.stats.has("sram.stream.loads"));
+    EXPECT_FALSE(os.stats.has("sram.stationary.loads"));
+    // WS: A^T (K x M) is stationary, B's K rows stream for N steps.
+    const GemmRunResult ws = sim.run(Dataflow::kWS, a, b);
+    EXPECT_EQ(ws.stats.get("sram.stationary.loads"), k * m);
+    EXPECT_EQ(ws.stats.get("sram.stream.loads"), k * n);
+    EXPECT_FALSE(ws.stats.has("sram.ifmap.loads"));
+    // IS: B (K x N) is stationary, A^T's K rows stream for M steps.
+    const GemmRunResult is = sim.run(Dataflow::kIS, a, b);
+    EXPECT_EQ(is.stats.get("sram.stationary.loads"), k * n);
+    EXPECT_EQ(is.stats.get("sram.stream.loads"), k * m);
+    EXPECT_FALSE(is.stats.has("sram.filter.loads"));
+  }
+}
+
 TEST(ConventionalArrayTest, ZeroGatingPreservesResults) {
   Rng rng(5);
   Matrix a = random_sparse_matrix(6, 8, 0.3, rng);

@@ -48,7 +48,7 @@ TEST(RowStreamTest, CustomStreamDrivesTheOsArray) {
       stats_.add("sram.ifmap.loads");
       return row == k ? 1.0f : 0.0f;
     }
-    [[nodiscard]] const Stats& stats() const override { return stats_; }
+    [[nodiscard]] Stats stats() const override { return stats_; }
 
    private:
     i64 n_;
