@@ -6,12 +6,14 @@
 // CI mode:
 //   bench_serve_throughput --smoke --json BENCH_serve.json
 // runs a short, fully deterministic scenario set (simulated-cycle metrics
-// only — same numbers on any machine and thread count) and writes them as
-// JSON for the perf-trajectory artifact. See README "CI" for the cache
-// keys and how to reproduce locally.
+// only — same numbers on any machine) and writes them as JSON for the
+// perf-trajectory artifact; it exits 1 if a registry scenario claim fails
+// on those runs. See README "CI" for the cache keys and how to reproduce
+// locally.
 #include <sys/resource.h>
 
 #include <fstream>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -299,27 +301,17 @@ struct Scenario {
   std::vector<std::pair<std::string, std::string>> extra;
 };
 
-/// Decode-side p99 latency for the disaggregation scenarios: simulated
-/// cycles, so it gates in compare_bench.py like any other cycle metric.
-i64 decode_p99_cycles(const ServeReport& r) {
-  Histogram decode;
-  for (const auto& [name, g] : r.by_workload()) {
-    if (name.rfind("decode", 0) == 0) decode.merge(g.latency);
-  }
-  return decode.percentile_or(99);
-}
-
 /// Short deterministic scenario set, resolved by name from the
 /// serve/scenarios registry (the artifact's rows and the registry's names
 /// are the same list by construction): every metric below is in simulated
-/// cycles (identical on any host/thread count), so the JSON artifact is
+/// cycles (identical on any host), so the JSON artifact is
 /// diffable across CI runs — a perf trajectory, not a noise source.
 /// A few scenarios attach extras the registry cannot express: the
 /// serve_scale_200k run carries the obs instrumentation (deterministic
 /// registry counts plus the "wall_phase_*" self-profile), serve_scale_10m
 /// publishes peak RSS under the informational "rss_" prefix, and the
-/// disagg pair publishes the decode_p99_cycles its headline claim is
-/// scored on.
+/// disagg pair publishes the decode_p99_cycles (simulated cycles, gated
+/// like any other cycle metric) its registry claim is scored on.
 std::vector<Scenario> smoke_scenarios() {
   std::vector<Scenario> out;
   for (const std::string& name : scenario_names()) {
@@ -347,16 +339,14 @@ std::vector<Scenario> smoke_scenarios() {
             fmt_double(prof.phases[i].seconds, 4));
       }
     } else {
-      AcceleratorPool pool(spec.config);
-      const std::unique_ptr<TraceSource> source = spec.make_trace();
-      s.report = pool.serve(*source);
+      s.report = serve_scenario(spec);
     }
     if (name == "serve_scale_10m") {
       s.extra.emplace_back("rss_mb_peak", fmt_double(peak_rss_mb(), 1));
     }
     if (name.rfind("disagg_prefill_decode", 0) == 0) {
       s.extra.emplace_back("decode_p99_cycles",
-                           std::to_string(decode_p99_cycles(s.report)));
+                           std::to_string(decode_p99(s.report)));
     }
     out.push_back(std::move(s));
   }
@@ -379,6 +369,21 @@ int run_smoke(const std::string& json_path) {
         .cell(fleet_cache_hit_pct(s.report), 1);
   }
   t.print(std::cout, "Bench smoke (deterministic simulated cycles)");
+
+  // The registry's scenario claims, scored on the reports above — every
+  // claimed scenario and baseline is in the smoke set, so this serves
+  // nothing new. A failed claim fails the run once the artifact is out.
+  std::map<std::string, const ServeReport*> by_name;
+  for (const auto& s : scenarios) by_name[s.name] = &s.report;
+  bool claims_hold = true;
+  std::cout << "\nScenario claims:\n";
+  for (const ClaimVerdict& v : check_claims(
+           [&by_name](const std::string& name) -> const ServeReport& {
+             return *by_name.at(name);
+           })) {
+    std::cout << "  " << to_string(v) << "\n";
+    claims_hold = claims_hold && v.holds;
+  }
 
   if (!json_path.empty()) {
     std::ofstream os(json_path);
@@ -429,6 +434,10 @@ int run_smoke(const std::string& json_path) {
     os << "  ],\n  \"host_wall_seconds_total\": " << fmt_double(wall, 4)
        << "\n}\n";
     std::cout << "\nwrote " << json_path << "\n";
+  }
+  if (!claims_hold) {
+    std::cerr << "a registry scenario claim failed (see above)\n";
+    return 1;
   }
   return 0;
 }

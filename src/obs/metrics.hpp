@@ -11,7 +11,7 @@
 // every operation is a no-op behind one branch; to_json() is "{}" and no
 // sample storage ever grows. All snapshot values are integers (counts,
 // cycles, exact-sample percentiles), so output is deterministic and
-// byte-stable across platforms and `num_threads` settings.
+// byte-stable across platforms.
 #pragma once
 
 #include <map>

@@ -4,8 +4,9 @@
 // the serve loop itself, in event order, with
 // simulated-cycle timestamps. Because probes only *read* the timeline,
 // attaching one can never change simulated cycles, and because the loop is
-// single-threaded, probe output is bit-identical across `num_threads`
-// settings — the property serve_trace_test pins down byte-for-byte.
+// single-threaded, probe output is a pure function of config and trace
+// (`num_threads` is a no-op; serve_scenario_registry_test diffs the trace
+// bytes of every small registry scenario under 1 and 8 to pin that).
 //
 // Zero overhead when disabled: the pool keeps a plain vector of probe
 // pointers and every emission site is guarded by an empty() check, so a

@@ -29,8 +29,9 @@
 //
 // Every emitted value is an integer from the simulated timeline and every
 // event is emitted from the single-threaded serve loop in event order, so
-// the rendered JSON is byte-identical across `num_threads` settings —
-// serve_trace_test diffs the full string 1-vs-8-threads, and CI validates
+// the rendered JSON is a pure function of config and trace (the
+// `num_threads` no-op included: serve_scenario_registry_test diffs the
+// full string for every small registry scenario), and CI validates
 // per-track timestamp monotonicity of the "X"/"C" events (async "b"/"e"
 // pairs are emitted at close time with their open timestamp, so they are
 // exempt by design).

@@ -368,7 +368,6 @@ ServeReport AcceleratorPool::serve(TraceSource& source) {
 
   ServeReport report;
   report.num_accelerators = static_cast<int>(fleet_size);
-  report.num_threads = config_.num_threads;
   // Records re-materialize workload names from this table at render time;
   // a copy keeps the report self-contained after the source is gone.
   report.workloads = source.registry();

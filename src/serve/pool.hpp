@@ -22,9 +22,10 @@
 // dispatched chunk's shape, the routed device's spec, and the device's
 // weight-cache state at dispatch — never of wall-clock or operand data —
 // so the simulated timeline (every dispatch, completion and percentile)
-// is a pure function of config and trace, whatever `num_threads` says;
-// tests diff 1-thread vs 8-thread reports — caches, heterogeneous fleets,
-// and chunked dispatch included.
+// is a pure function of config and trace. The loop is single-threaded;
+// `PoolConfig::num_threads` is validated and otherwise ignored, kept only
+// for existing callers (serve_scenario_registry_test pins that it changes
+// no record, stage row, device/node stat or trace byte).
 #pragma once
 
 #include <cstdint>
@@ -136,9 +137,8 @@ struct PoolConfig {
   int num_accelerators = 4;
   i64 dram_bytes_per_cycle = 64;
 
-  /// No effect: every chunk is priced inline in the serve loop. Still
-  /// validated (>= 1) and echoed in ServeReport::num_threads for existing
-  /// callers.
+  /// No effect: every chunk is priced inline in the single-threaded serve
+  /// loop. Still validated (>= 1), kept for existing callers.
   int num_threads = 1;
   SchedulePolicy policy = SchedulePolicy::kFifo;
   /// Ready-queue data structure (serve/sched_index). kIndexed is the
@@ -207,7 +207,7 @@ class AcceleratorPool {
   /// Attaches a passive observer of the serve loop (obs/probe.hpp). Call
   /// before serve(); the pool does not own the probe and every callback
   /// fires from the single-threaded serve loop, so probes never perturb
-  /// the simulated timeline or the thread-count determinism contract.
+  /// the simulated timeline.
   /// With no probes attached every emission site is one branch — the
   /// disabled path costs nothing measurable.
   void add_probe(obs::PoolProbe* probe);

@@ -491,7 +491,7 @@ std::string ServeReport::summary() const {
   std::ostringstream os;
   os << "requests: " << num_requests() << "  batches: " << total_batches
      << "  mean batch: " << fmt_double(mean_batch_size(), 2) << "\n"
-     << "accelerators: " << num_accelerators << "  threads: " << num_threads
+     << "accelerators: " << num_accelerators
      << "  makespan: " << makespan_cycles << " cycles\n";
   // Chunk accounting only earns a line when dispatch was actually divisible
   // (total_chunks == total_batches means every batch ran whole).

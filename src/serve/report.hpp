@@ -3,8 +3,8 @@
 // (sim/stats Histogram), throughput, accelerator utilization, batching
 // effectiveness, and SLO attainment with per-workload / per-priority-class
 // breakdowns. Everything is in simulated cycles; wall-clock fields are
-// reported separately so the "N threads give the same simulated answer"
-// determinism contract stays visible.
+// reported separately, so the simulated fields are a pure function of
+// config and trace.
 //
 // Records are stored *columnar* (RecordStore): one parallel vector per
 // field, with narrow types where the value range allows. The batch-level
@@ -126,8 +126,9 @@ struct RequestRecord {
   }
 
   /// Full-field equality — the primitive the determinism checks (indexed
-  /// vs scan-reference scheduler, 1 vs 8 threads) diff whole reports
-  /// with. New fields must be added here so those checks stay complete.
+  /// vs scan-reference scheduler, probes on vs off, a registry scenario
+  /// under different `num_threads`) diff whole reports with. New fields
+  /// must be added here so those checks stay complete.
   friend bool operator==(const RequestRecord& a, const RequestRecord& b) {
     return a.id == b.id && a.workload == b.workload && a.gemm == b.gemm &&
            a.arrival_cycle == b.arrival_cycle &&
@@ -429,7 +430,6 @@ struct ServeReport {
   WorkloadRegistry workloads;
 
   int num_accelerators = 0;
-  int num_threads = 0;  ///< PoolConfig::num_threads echoed (no effect)
   i64 makespan_cycles = 0;      ///< last completion cycle
   i64 total_busy_cycles = 0;    ///< sum of per-accelerator busy cycles
   /// Logical batches: the chunks of one batch count once.

@@ -45,6 +45,11 @@ TEST_P(StructuralSweep, AgreesWithBehaviouralSim) {
   // Identical MAC work.
   EXPECT_EQ(rs.macs.total_macs(), rb.macs.total_macs());
   EXPECT_EQ(rs.macs.active_macs, rb.macs.active_macs);
+  // The same operand traffic.
+  for (const char* key : {"sram.ifmap.loads", "sram.filter.loads",
+                          "sram.stream.loads", "sram.stationary.loads"}) {
+    EXPECT_EQ(rs.stats.get(key), rb.stats.get(key)) << key;
+  }
   // And of course correct.
   EXPECT_TRUE(rs.out.approx_equal(gemm_ref(a, b), 1e-3));
 }

@@ -1,9 +1,8 @@
 // Closed-loop completion feedback (ClosedLoopTraceSource + the pool's
 // retire-time on_complete hook): the estimate-replay equivalence that pins
 // the feedback arithmetic, the in-flight <= num_clients self-limiting
-// invariant under saturation, re-issue anchoring on realized completions,
-// and thread-count determinism of the canonical feedback scenario (TSan
-// runs this suite).
+// invariant under saturation, and re-issue anchoring on realized
+// completions.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -115,34 +114,14 @@ TEST(ClosedLoopFeedbackTest, SaturationSelfLimitsAtClientPopulation) {
   EXPECT_EQ(spy.completions, static_cast<std::size_t>(kClosedLoopRequests));
   EXPECT_EQ(spy.max_in_flight, static_cast<std::size_t>(kClosedLoopClients));
   EXPECT_EQ(spy.last_completion_cycle, fb.makespan_cycles);
-  // The headline behaviour gap: estimate mode keeps issuing as if the
-  // fleet kept up and drowns it; feedback mode's offered load tracks
-  // realized service, so SLO attainment is dramatically better.
+  // The size of the behaviour gap (the registry claims its direction):
+  // estimate mode keeps issuing as if the fleet kept up and drowns it;
+  // feedback mode's offered load tracks realized service.
   ClosedLoopTraceSource est = closed_loop_source(false);
   const ServeReport open =
       AcceleratorPool(closed_loop_pool_config()).serve(est);
   EXPECT_GT(fb.slo_attainment(), 0.99);
   EXPECT_LT(open.slo_attainment(), 0.5);
-}
-
-TEST(ClosedLoopFeedbackTest, FeedbackScenarioDeterministicAcrossThreads) {
-  // Completion feedback makes the *trace itself* depend on the simulated
-  // timeline, so this is the strongest determinism test in the suite: any
-  // thread-count-dependent completion would cascade into different
-  // arrivals. 1 vs 8 workers must agree on every record.
-  const auto run = [](int threads) {
-    ClosedLoopTraceSource src = closed_loop_source(true);
-    return AcceleratorPool(closed_loop_pool_config(threads)).serve(src);
-  };
-  const ServeReport one = run(1);
-  const ServeReport eight = run(8);
-  EXPECT_EQ(one.makespan_cycles, eight.makespan_cycles);
-  EXPECT_EQ(one.total_batches, eight.total_batches);
-  EXPECT_EQ(one.slo_attainment(), eight.slo_attainment());
-  ASSERT_EQ(one.records.size(), eight.records.size());
-  for (std::size_t i = 0; i < one.records.size(); ++i) {
-    ASSERT_EQ(one.records[i], eight.records[i]) << "record " << i;
-  }
 }
 
 }  // namespace

@@ -104,7 +104,6 @@ TEST(ServeReportTest, EmptyTraceYieldsWellFormedReport) {
   // tripping Histogram::percentile's empty-histogram check.
   ServeReport rep;
   rep.num_accelerators = 4;
-  rep.num_threads = 2;
   rep.finalize();
   EXPECT_EQ(rep.num_requests(), 0u);
   EXPECT_EQ(rep.makespan_cycles, 0);
