@@ -275,8 +275,9 @@ void bench_serve_dispatch_overhead(benchmark::State& state) {
 BENCHMARK(bench_serve_dispatch_overhead)->Unit(benchmark::kMillisecond);
 
 void bench_serve_cycle_accurate(benchmark::State& state) {
-  // The serve loop on the cycle-accurate simulator: each iteration builds
-  // a fresh pool, so every distinct (device, M, K, N) simulates once.
+  // The serve loop under ExecMode::kCycleAccurate: every dispatch is
+  // priced by the exact closed-form tile sum (model/runtime_model
+  // exact_gemm_cycles); no simulator runs.
   const std::vector<GemmWorkload> mix = {{"s", {8, 16, 16}},
                                          {"m", {16, 16, 16}}};
   PoolConfig cfg = config(4, 4);
