@@ -10,8 +10,10 @@ gate that can never fire again. Metrics in the explicit informational list
 — counts (requests, batches, chunks, preemptions) and host wall-clock
 (wall_seconds and every "wall_"-prefixed key, noisy by nature) — are
 printed for the trajectory but can never fail the gate, and so can
-unclassified metrics. Intentional changes update the baseline in the same
-PR.
+unclassified metrics. An optional top-level "host" object (nproc,
+cpu_model, compiler, build_type) says where the informational numbers were
+measured; it is printed for both files and never gated. Intentional
+changes update the baseline in the same commit.
 
 Usage:
   scripts/compare_bench.py BASELINE CURRENT [--tolerance-pct 2.0]
@@ -105,7 +107,8 @@ def is_informational(metric):
     )
 
 
-def load_scenarios(path):
+def load_doc(path):
+    """The parsed file and its scenarios by name."""
     try:
         with open(path, "r", encoding="utf-8") as f:
             doc = json.load(f)
@@ -116,7 +119,18 @@ def load_scenarios(path):
     if not isinstance(scenarios, list) or not scenarios:
         print(f"error: {path} has no scenarios", file=sys.stderr)
         sys.exit(1)
-    return {s["name"]: s for s in scenarios}
+    return doc, {s["name"]: s for s in scenarios}
+
+
+def host_line(side, doc):
+    """The file's optional "host" stamp: where its informational wall-clock
+    and RSS numbers were measured. Printed, never gated — the gated metrics
+    are simulated cycles and mean the same on any host."""
+    host = doc.get("host")
+    if not isinstance(host, dict):
+        return f"host ({side}): not stamped"
+    fields = ", ".join(f"{k}={v}" for k, v in host.items())
+    return f"host ({side}): {fields}"
 
 
 def regression_pct(direction, base, cur):
@@ -135,8 +149,10 @@ def regression_pct(direction, base, cur):
 
 def compare(baseline_path, current_path, tolerance_pct):
     """The whole gate; returns the process exit code (0 ok, 1 fail)."""
-    base = load_scenarios(baseline_path)
-    cur = load_scenarios(current_path)
+    base_doc, base = load_doc(baseline_path)
+    cur_doc, cur = load_doc(current_path)
+    print(host_line("baseline", base_doc))
+    print(host_line("current", cur_doc))
 
     failures = []
     rows = []
@@ -231,7 +247,7 @@ def compare(baseline_path, current_path, tolerance_pct):
 def list_classification(baseline_path):
     """--list: per metric key in the baseline, print whether it gates
     (with direction) or only informs, and which scenarios carry it."""
-    scenarios = load_scenarios(baseline_path)
+    _, scenarios = load_doc(baseline_path)
     carriers = {}
     for name, doc in scenarios.items():
         for metric in doc:
@@ -306,15 +322,19 @@ def _scenario(**overrides):
 
 
 def _run_case(label, base_scenario, cur_scenario, expect_exit,
-              expect_in_output=None):
-    """Writes the two one-scenario docs to temp files, runs the real
-    compare() on them, and checks exit code (and optionally a message)."""
+              expect_in_output=None, hosts=(None, None)):
+    """Writes the two one-scenario docs (with their optional host stamps)
+    to temp files, runs the real compare() on them, and checks exit code
+    (and optionally a message)."""
     paths = []
     try:
-        for doc in (base_scenario, cur_scenario):
+        for doc, host in zip((base_scenario, cur_scenario), hosts):
             fd, path = tempfile.mkstemp(suffix=".json")
             with os.fdopen(fd, "w", encoding="utf-8") as f:
-                json.dump({"scenarios": [doc]}, f)
+                body = {"scenarios": [doc]}
+                if host is not None:
+                    body["host"] = host
+                json.dump(body, f)
             paths.append(path)
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
@@ -389,6 +409,23 @@ def self_test():
         "scoped key outside its scenarios never gates",
         _scenario(decode_p99_cycles=100),
         _scenario(decode_p99_cycles=10000), 0)
+    host_a = {"nproc": 4, "cpu_model": "cpu A", "compiler": "GNU 12.2.0",
+              "build_type": "Release"}
+    host_b = dict(host_a, nproc=64, cpu_model="cpu B", build_type="Debug")
+    ok &= _run_case(
+        "unstamped files pass and say so", base, _scenario(), 0,
+        "host (current): not stamped")
+    ok &= _run_case(
+        "host stamp is printed", base, _scenario(), 0,
+        "host (baseline): nproc=4, cpu_model=cpu A, compiler=GNU 12.2.0, "
+        "build_type=Release", hosts=(host_a, None))
+    ok &= _run_case(
+        "differing hosts never gate", base, _scenario(), 0,
+        "host (current): nproc=64, cpu_model=cpu B", hosts=(host_a, host_b))
+    ok &= _run_case(
+        "a host stamp does not mask a regression",
+        base, _scenario(makespan_cycles=1100), 1, "makespan_cycles",
+        hosts=(host_a, host_a))
     ok &= _list_case()
     print("self-test:", "OK" if ok else "FAIL")
     return 0 if ok else 1

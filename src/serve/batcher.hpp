@@ -39,9 +39,11 @@ struct BatchPolicy {
 /// report's columnar record store at admission; `row` is that record's
 /// index, all the retire path needs to finish the record in place. Only
 /// the id rides along — scheduling tie-breaks and completion feedback key
-/// on it. Keeping members at 16 bytes is what bounds a 10^7-request
-/// backlog: a saturated trace holds most of its requests inside queued
-/// batches at peak, so member size — not trace size — is the memory knob.
+/// on it. A saturated trace holds most of its requests in queued batches
+/// at peak; each queued batch of eight costs a 144 B SchedIndex entry, a
+/// 32 B heap item and a 144 B member block (8 x 16 B plus the allocator
+/// header; sizeof and malloc_usable_size, glibc x86-64), so member size is
+/// one term of three, not the memory knob.
 struct BatchMember {
   i64 id = 0;
   std::uint32_t row = 0;

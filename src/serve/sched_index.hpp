@@ -1,24 +1,17 @@
 // Inference serving: the ready-queue index. The serve loop (serve/pool)
-// repeatedly asks one question — "which ready batch dispatches next?" —
-// under a strict deterministic ordering: priority class first, then the
-// schedule policy's key (SJF estimate / EDF deadline), then waiting age,
-// then tie-breaks. The seed implementation answered it with a full linear
-// scan per dispatch plus a mid-vector erase, and found continuous-admission
-// join targets with another linear scan per arrival: O(n) per event, O(n^2)
-// per trace in queue depth — fine at 10^3 requests, hopeless at 10^6.
+// repeatedly asks "which ready batch dispatches next?" under a strict
+// deterministic ordering: priority class first, then the schedule policy's
+// key (SJF estimate / EDF deadline), then waiting age, then tie-breaks.
+// SchedIndex answers it from per-priority-class min-heaps with lazy
+// invalidation (a mutated or popped entry leaves a stale heap item behind,
+// discarded when it surfaces) and finds continuous-admission join targets
+// in a per-(K, N) insertion-ordered registry: O(log n) amortized per event.
+// The ordering ends in a unique tie-break (first request id), so the heap
+// argmin is exactly the argmin of a linear scan.
 //
-// SchedIndex keeps the exact same ordering in per-priority-class min-heaps
-// with lazy invalidation (a mutated or popped entry leaves a stale heap
-// item behind; stale items are discarded when they surface), plus a
-// per-(K, N) insertion-ordered registry for join lookups. pick/pop/join
-// become O(log n) amortized. Because the PickKey ordering ends in a unique
-// tie-break (first request id), the heap argmin is the same batch the scan
-// argmin was — the simulated timeline is bit-identical, which is what makes
-// the refactor safely verifiable (tests diff the two implementations).
-//
-// The seed behaviour survives as ReadyQueueImpl::kScanReference: the same
-// interface backed by the original linear scans, kept as the property-test
-// oracle and as the quadratic baseline bench_serve_scale measures against.
+// ReadyQueueImpl::kScanReference is that scan: the same interface backed
+// by O(n)-per-event linear scans, kept as the property-test oracle and as
+// the quadratic baseline bench_serve_scale measures against.
 #pragma once
 
 #include <cstdint>
@@ -145,18 +138,27 @@ class SchedIndex {
     bool joinable = false;
   };
 
-  /// Heap item: a snapshot of the entry's key at push/re-key time. A
-  /// version mismatch at pop time means the entry mutated (or died) since
-  /// — the item is stale and discarded.
+  /// Heap item (32 B): the entry's key at push/re-key time, less what its
+  /// class heap fixes (the priority; a batch is never an open group, so
+  /// open_group and id1 are false/0). A version mismatch at pop time means
+  /// the entry mutated (or died) since — the item is stale and discarded.
   struct HeapItem {
-    PickKey key;
-    i64 slot = 0;
+    i64 policy_key = 0;
+    i64 age_cycle = 0;
+    i64 id0 = 0;
+    std::uint32_t slot = 0;
     std::uint32_t version = 0;
   };
+  static_assert(sizeof(HeapItem) == 32, "HeapItem is a 32-byte snapshot");
+  /// Orders items by key_better on the PickKey each one stands for, so the
+  /// ordering has one home.
   struct WorseThan {
     SchedulePolicy policy;
+    int priority;  ///< the class every item of this heap belongs to
     bool operator()(const HeapItem& a, const HeapItem& b) const {
-      return key_better(policy, b.key, a.key);
+      return key_better(
+          policy, PickKey{priority, b.policy_key, b.age_cycle, false, b.id0, 0},
+          PickKey{priority, a.policy_key, a.age_cycle, false, a.id0, 0});
     }
   };
   using ClassHeap =
